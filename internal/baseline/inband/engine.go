@@ -149,6 +149,7 @@ type Replica struct {
 	maxBallotSeen types.Ballot
 	promises      map[types.NodeID]promiseMsg
 	pending       []types.Command
+	forwarded     map[string]int // forward payload -> ticks since sent, until learned
 	inflight      map[types.Slot]*slotProgress
 	futureAdopted map[types.Slot]types.Command // adopted values beyond the window
 	nextSlot      types.Slot
@@ -189,6 +190,7 @@ func New(initial types.Config, self types.NodeID, ep *transport.Endpoint, store 
 		decided:   make(map[types.Slot]types.Command),
 		promises:  make(map[types.NodeID]promiseMsg),
 		inflight:  make(map[types.Slot]*slotProgress),
+		forwarded: make(map[string]int),
 
 		futureAdopted: make(map[types.Slot]types.Command),
 		timeline:      []activation{{At: 1, Cfg: initial.Clone()}},

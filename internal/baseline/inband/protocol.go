@@ -360,6 +360,9 @@ func (r *Replica) learn(slot types.Slot, cmd types.Command) {
 	}
 	r.decided[slot] = cmd
 	r.persistDecided(slot, cmd)
+	if len(r.forwarded) > 0 {
+		delete(r.forwarded, string(encodeForward(forwardMsg{Cmd: cmd})))
+	}
 	if slot > r.maxDecidedSeen {
 		r.maxDecidedSeen = slot
 	}
@@ -465,9 +468,29 @@ func (r *Replica) flushPendingToLeader() {
 		return
 	}
 	for _, cmd := range r.pending {
-		r.send(hint, KindForward, encodeForward(forwardMsg{Cmd: cmd}))
+		wire := encodeForward(forwardMsg{Cmd: cmd})
+		r.send(hint, KindForward, wire)
+		if len(r.forwarded) < r.opts.PendingLimit {
+			r.forwarded[string(wire)] = 0
+		}
 	}
 	r.pending = r.pending[:0]
+}
+
+// reforward re-sends forwarded proposals not learned within a few resend
+// intervals: a forward lost on the wire would otherwise drop the proposal
+// for good, since nothing else retransmits it. A forward that was only slow
+// is proposed twice; the service layer's sessions dedup the second copy.
+func (r *Replica) reforward() {
+	hint, _ := r.leaderHint.Load().(types.NodeID)
+	for wire, age := range r.forwarded {
+		if age++; age < 4*r.opts.ResendTicks || hint == "" || hint == r.self {
+			r.forwarded[wire] = age
+			continue
+		}
+		r.forwarded[wire] = 0
+		r.send(hint, KindForward, []byte(wire))
+	}
 }
 
 // --- timers --------------------------------------------------------------------------
@@ -546,6 +569,7 @@ func (r *Replica) tick() {
 			r.startElection()
 		}
 		r.flushPendingToLeader()
+		r.reforward()
 	}
 
 	r.catchupCooldown--

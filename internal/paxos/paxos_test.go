@@ -122,6 +122,11 @@ func (tc *testCluster) appDelivered(id types.NodeID) []types.Command {
 
 func (tc *testCluster) waitUntil(cond func() bool, what string, timeout time.Duration) {
 	tc.t.Helper()
+	waitFor(tc.t, what, timeout, cond)
+}
+
+func waitFor(t *testing.T, what string, timeout time.Duration, cond func() bool) {
+	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
 		if cond() {
@@ -129,7 +134,7 @@ func (tc *testCluster) waitUntil(cond func() bool, what string, timeout time.Dur
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	tc.t.Fatalf("timed out waiting for %s", what)
+	t.Fatalf("timed out waiting for %s", what)
 }
 
 // waitForLeader blocks until some live replica believes it is leader.

@@ -152,6 +152,16 @@ func (r *Replica) setDurable(key string, value []byte) error {
 	return r.store.Set(key, value)
 }
 
+// deleteDurable removes acceptor/learner state, staged into the burst's
+// group commit exactly like setDurable.
+func (r *Replica) deleteDurable(key string) error {
+	if r.inBurst {
+		r.burstDirty = true
+		return r.bstore.DeleteBuffered(key)
+	}
+	return r.store.Delete(key)
+}
+
 // --- acceptor role ---------------------------------------------------------
 
 // acceptPrepare applies phase-1a to the local acceptor state and returns the

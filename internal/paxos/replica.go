@@ -222,6 +222,12 @@ type Replica struct {
 	progTrunc     atomic.Int64
 	ckptNeeded    atomic.Bool
 
+	// Truncation requests: TruncateBelow raises truncReq to the highest
+	// floor asked for and pokes truncSig (one slot, so requests made while
+	// the loop is busy coalesce into one release to the highest floor).
+	truncReq atomic.Uint64
+	truncSig chan struct{}
+
 	// --- state below is owned exclusively by the event loop goroutine ---
 	rng      *rand.Rand
 	promised types.Ballot
@@ -298,6 +304,7 @@ func New(cfg types.Config, self types.NodeID, ep *transport.Endpoint, store stor
 		proposeCh: make(chan types.Command, 1024),
 		readCh:    make(chan readRequest, 4096),
 		ctrlCh:    make(chan func(), 16),
+		truncSig:  make(chan struct{}, 1),
 		stopCh:    make(chan struct{}),
 		loopDone:  make(chan struct{}),
 		pumpDone:  make(chan struct{}),
@@ -359,7 +366,7 @@ func (r *Replica) recover() error {
 		// Slots <= the floor were released after a durable checkpoint: the
 		// application recovers them from the checkpoint, not the log. Any
 		// acc/dec records below the floor that the deletes had not reached
-		// before the crash are skipped during the scans below.
+		// before the crash are skipped during the scans below and swept.
 		r.deliverNext = r.truncatedBelow + 1
 		r.nextSlot = r.truncatedBelow + 1
 		r.maxDecidedSeen = r.truncatedBelow
@@ -368,6 +375,7 @@ func (r *Replica) recover() error {
 	if err != nil {
 		return err
 	}
+	var stale []string
 	for _, kv := range accs {
 		rd := types.NewReader(kv.Value)
 		e := acceptedEntry{
@@ -379,6 +387,7 @@ func (r *Replica) recover() error {
 			return fmt.Errorf("accepted record %s: %w", kv.Key, err)
 		}
 		if e.Slot <= r.truncatedBelow {
+			stale = append(stale, kv.Key)
 			continue
 		}
 		r.accepted[e.Slot] = e
@@ -394,6 +403,7 @@ func (r *Replica) recover() error {
 			return fmt.Errorf("decided record %s: %w", kv.Key, err)
 		}
 		if d.Slot <= r.truncatedBelow {
+			stale = append(stale, kv.Key)
 			continue
 		}
 		r.decided[d.Slot] = d.Cmd
@@ -414,9 +424,32 @@ func (r *Replica) recover() error {
 			r.nextSlot = slot + 1
 		}
 	}
+	if err := r.sweepReleased(stale); err != nil {
+		return fmt.Errorf("sweep released records: %w", err)
+	}
 	r.stats.retained.Store(int64(len(r.decided)))
 	r.publishProgress()
 	return nil
+}
+
+// sweepReleased deletes acc/dec records at or below the recovered floor: a
+// crash mid-truncation leaves them behind (the floor is persisted first),
+// and unswept they would live on in the store's state and in every WAL
+// compaction checkpoint. The deletes share one Sync.
+func (r *Replica) sweepReleased(keys []string) error {
+	if len(keys) == 0 {
+		return nil
+	}
+	del := r.store.Delete
+	if r.bstore != nil {
+		del = r.bstore.DeleteBuffered
+	}
+	for _, key := range keys {
+		if err := del(key); err != nil {
+			return err
+		}
+	}
+	return r.store.Sync()
 }
 
 // Start implements smr.Engine.
@@ -614,6 +647,11 @@ func (r *Replica) loop() {
 			fn()
 			r.drainBurst(burstBudget - 1)
 			r.endBurst()
+		case <-r.truncSig:
+			r.beginBurst()
+			r.truncateBelow(types.Slot(r.truncReq.Load()))
+			r.drainBurst(burstBudget - 1)
+			r.endBurst()
 		case <-ticker.C:
 			r.beginBurst()
 			r.tick()
@@ -760,10 +798,20 @@ func (r *Replica) post(fn func()) {
 // truncation this replica refuses phase-2 votes at released slots and
 // answers catch-up requests for them with a checkpoint redirect instead of
 // entries. The floor is clamped to the delivered prefix — undelivered slots
-// are never truncated. Safe from any goroutine; applied asynchronously on
-// the event loop.
+// are never truncated. Safe from any goroutine and never blocks: the loop
+// applies the highest floor requested so far, asynchronously, so a caller
+// holding its own lock cannot wedge against a busy event loop.
 func (r *Replica) TruncateBelow(floor types.Slot) {
-	r.post(func() { r.truncateBelow(floor) })
+	for {
+		cur := r.truncReq.Load()
+		if uint64(floor) <= cur || r.truncReq.CompareAndSwap(cur, uint64(floor)) {
+			break
+		}
+	}
+	select {
+	case r.truncSig <- struct{}{}:
+	default: // a release is already pending; it reads the new maximum
+	}
 }
 
 // SkipTo installs a checkpoint's base index: the application has restored
@@ -774,9 +822,7 @@ func (r *Replica) SkipTo(base types.Slot) {
 	r.post(func() { r.skipTo(base) })
 }
 
-// truncateBelow is the loop-side release. Slots (truncatedBelow, floor] are
-// dropped from the in-memory maps and their durable records deleted; the
-// floor itself is persisted so recovery does not resurrect released slots.
+// truncateBelow is the loop-side release of slots (truncatedBelow, floor].
 func (r *Replica) truncateBelow(floor types.Slot) {
 	if floor >= r.deliverNext {
 		floor = r.deliverNext - 1
@@ -784,21 +830,7 @@ func (r *Replica) truncateBelow(floor types.Slot) {
 	if floor <= r.truncatedBelow {
 		return
 	}
-	prev := r.truncatedBelow
-	for slot := prev + 1; slot <= floor; slot++ {
-		if _, ok := r.decided[slot]; ok {
-			delete(r.decided, slot)
-			_ = r.store.Delete(storage.SlotKey(r.prefix+"dec/", uint64(slot)))
-		}
-		if _, ok := r.accepted[slot]; ok {
-			delete(r.accepted, slot)
-			_ = r.store.Delete(storage.SlotKey(r.prefix+"acc/", uint64(slot)))
-		}
-	}
-	r.truncatedBelow = floor
-	r.persistTruncated()
-	r.stats.truncated.Add(int64(floor - prev))
-	r.stats.retained.Store(int64(len(r.decided)))
+	r.advanceFloor(floor)
 	r.publishProgress()
 }
 
@@ -811,17 +843,6 @@ func (r *Replica) skipTo(base types.Slot) {
 		r.ckptNeeded.Store(false)
 		return
 	}
-	prev := r.truncatedBelow
-	for slot := prev + 1; slot <= base; slot++ {
-		if _, ok := r.decided[slot]; ok {
-			delete(r.decided, slot)
-			_ = r.store.Delete(storage.SlotKey(r.prefix+"dec/", uint64(slot)))
-		}
-		if _, ok := r.accepted[slot]; ok {
-			delete(r.accepted, slot)
-			_ = r.store.Delete(storage.SlotKey(r.prefix+"acc/", uint64(slot)))
-		}
-	}
 	r.deliverNext = base + 1
 	if base > r.maxDecidedSeen {
 		r.maxDecidedSeen = base
@@ -829,22 +850,47 @@ func (r *Replica) skipTo(base types.Slot) {
 	if r.nextSlot <= base {
 		r.nextSlot = base + 1
 	}
-	r.truncatedBelow = base
-	r.persistTruncated()
-	r.stats.truncated.Add(int64(base - prev))
-	r.stats.retained.Store(int64(len(r.decided)))
+	r.advanceFloor(base)
 	r.ckptNeeded.Store(false)
 	r.publishProgress()
 	// Decisions above the base may already be decided and contiguous now.
 	r.deliverReady()
 }
 
-func (r *Replica) persistTruncated() {
+// advanceFloor raises the truncation floor to floor and releases slots
+// (old floor, floor]: they leave the in-memory maps and their durable
+// records are deleted. The floor record is written first. Inside a burst
+// the floor and every delete are staged and made durable by the burst's one
+// group-commit Sync; since the store is durable as a prefix, a crash can
+// keep the floor without some deletes (recovery sweeps those) but never a
+// delete without the floor, which would forget accepted and decided values
+// above the durable floor. For the same reason the records stay when the
+// floor could not be written, and a failed delete is not an error.
+func (r *Replica) advanceFloor(floor types.Slot) {
+	prev := r.truncatedBelow
+	r.truncatedBelow = floor
 	w := types.NewWriter(8)
-	w.Uvarint(uint64(r.truncatedBelow))
-	if err := r.setDurable(r.prefix+"trunc", w.Bytes()); err != nil {
+	w.Uvarint(uint64(floor))
+	durable := r.setDurable(r.prefix+"trunc", w.Bytes()) == nil
+	if !durable {
 		r.stats.violations.Add(1)
 	}
+	for slot := prev + 1; slot <= floor; slot++ {
+		if _, ok := r.decided[slot]; ok {
+			delete(r.decided, slot)
+			if durable {
+				_ = r.deleteDurable(storage.SlotKey(r.prefix+"dec/", uint64(slot)))
+			}
+		}
+		if _, ok := r.accepted[slot]; ok {
+			delete(r.accepted, slot)
+			if durable {
+				_ = r.deleteDurable(storage.SlotKey(r.prefix+"acc/", uint64(slot)))
+			}
+		}
+	}
+	r.stats.truncated.Add(int64(floor - prev))
+	r.stats.retained.Store(int64(len(r.decided)))
 }
 
 // TruncatedFloor reads the persisted truncation floor of a stream without

@@ -275,7 +275,8 @@ func (n *Node) ckptAborted(id types.ConfigID) bool {
 // keeps restart recovery self-contained; the quorum clamp keeps truncated
 // slots fetchable as checkpoints by laggards; the margin keeps a small tail
 // of recent slots serveable through the ordinary engine catch-up, so a
-// briefly lagging member never pays a full state transfer. Caller holds mu.
+// briefly lagging member never pays a full state transfer. Caller holds mu;
+// that is safe because TruncateBelow never blocks on the engine's loop.
 func (n *Node) maybeTruncateLocked() {
 	if n.opts.NoCheckpoints || n.stopped {
 		return

@@ -106,3 +106,16 @@ func BenchmarkWALStoreAppend(b *testing.B) {
 		}
 	}
 }
+
+var slotKeySink string
+
+// BenchmarkSlotKey measures the per-slot key rendering the Paxos engine runs
+// for every persisted and every released slot.
+//
+//	go test ./internal/storage/ -run '^$' -bench SlotKey -benchmem
+func BenchmarkSlotKey(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		slotKeySink = SlotKey("pxs/1/dec/", uint64(i))
+	}
+}

@@ -11,9 +11,9 @@ import "strings"
 // group 0 (the legacy layout) reads and writes exactly the keys it always did.
 //
 // The view preserves base's BufferedStore capability: if base supports
-// SetBuffered, so does the view — otherwise callers probing with a type
-// assertion (the Paxos event loop's group commit) would silently lose
-// fsync batching when running grouped.
+// SetBuffered and DeleteBuffered, so does the view — otherwise callers
+// probing with a type assertion (the Paxos event loop's group commit) would
+// silently lose fsync batching when running grouped.
 func WithPrefix(base Store, prefix string) Store {
 	if prefix == "" {
 		return base
@@ -90,4 +90,8 @@ type bufferedPrefixStore struct {
 
 func (s *bufferedPrefixStore) SetBuffered(key string, value []byte) error {
 	return s.buffered.SetBuffered(s.prefix+key, value)
+}
+
+func (s *bufferedPrefixStore) DeleteBuffered(key string) error {
+	return s.buffered.DeleteBuffered(s.prefix + key)
 }

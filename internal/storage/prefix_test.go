@@ -111,6 +111,27 @@ func TestWithPrefixPreservesBufferedStore(t *testing.T) {
 		t.Fatalf("base g5/k = %q %v %v", v, ok, err)
 	}
 
+	// DeleteBuffered goes through the view too: visible at once, stable
+	// only after Sync.
+	if err := bs.DeleteBuffered("k"); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, _ := view.Get("k"); ok {
+		t.Fatal("buffered delete invisible through the view")
+	}
+	mem.Crash()
+	if _, ok, _ := mem.Get("g5/k"); !ok {
+		t.Fatal("un-synced buffered delete survived a crash")
+	}
+	_ = bs.DeleteBuffered("k")
+	if err := view.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	mem.Crash()
+	if _, ok, _ := mem.Get("g5/k"); ok {
+		t.Fatal("synced buffered delete lost in crash")
+	}
+
 	// A plain (non-buffered) base must NOT grow a SetBuffered method.
 	plain := WithPrefix(plainStore{NewMem()}, "p/")
 	if _, ok := plain.(BufferedStore); ok {

@@ -15,8 +15,8 @@ package storage
 
 import (
 	"errors"
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -56,6 +56,10 @@ type BufferedStore interface {
 	// page cache) but possibly non-durably, regardless of the store's sync
 	// mode; the write reaches stable state on the next Sync.
 	SetBuffered(key string, value []byte) error
+	// DeleteBuffered removes key visibly but possibly non-durably, the
+	// delete counterpart of SetBuffered: a staged delete costs no fsync of
+	// its own and reaches stable state on the next Sync.
+	DeleteBuffered(key string) error
 }
 
 // MemOptions configures a MemStore.
@@ -141,6 +145,23 @@ func (s *MemStore) SetBuffered(key string, value []byte) error {
 	cp := clone(value)
 	s.writes++
 	s.dirty[key] = &cp
+	return nil
+}
+
+// DeleteBuffered implements BufferedStore: the delete is staged in the dirty
+// buffer even with AutoSync on, and becomes stable on the next Sync.
+func (s *MemStore) DeleteBuffered(key string) error {
+	if s.opts.WriteLatency > 0 {
+		time.Sleep(s.opts.WriteLatency)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrStoreClosed
+	}
+	s.writes++
+	var nilv []byte
+	s.dirty[key] = &nilv
 	return nil
 }
 
@@ -280,8 +301,22 @@ func clone(b []byte) []byte {
 	return out
 }
 
+// slotDigits is the fixed width of a rendered slot number: the decimal
+// length of math.MaxUint64.
+const slotDigits = 20
+
 // SlotKey renders a log-slot key under prefix with fixed-width zero padding
-// so lexicographic order equals numeric order.
+// so lexicographic order equals numeric order. It runs for every persisted
+// and every released slot, so it builds the key in one allocation.
 func SlotKey(prefix string, slot uint64) string {
-	return fmt.Sprintf("%s%020d", prefix, slot)
+	var digits [slotDigits]byte
+	d := strconv.AppendUint(digits[:0], slot, 10)
+	var b strings.Builder
+	b.Grow(len(prefix) + slotDigits)
+	b.WriteString(prefix)
+	for i := len(d); i < slotDigits; i++ {
+		b.WriteByte('0')
+	}
+	b.Write(d)
+	return b.String()
 }

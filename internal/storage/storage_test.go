@@ -2,6 +2,9 @@ package storage
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -155,6 +158,66 @@ func TestWriteAndSyncCounters(t *testing.T) {
 	}
 	if s.Len() != 1 {
 		t.Fatalf("stable len = %d", s.Len())
+	}
+}
+
+// TestMemStoreDeleteBuffered: a staged delete is visible to reads at once
+// but reaches stable state only at the next Sync, even with AutoSync on.
+func TestMemStoreDeleteBuffered(t *testing.T) {
+	s := NewMem()
+	_ = s.Set("k", []byte("v"))
+	if err := s.DeleteBuffered("k"); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, _ := s.Get("k"); ok {
+		t.Fatal("buffered delete invisible to the writer")
+	}
+	if kvs, _ := s.Scan("k"); len(kvs) != 0 {
+		t.Fatalf("scan still sees buffered-deleted key: %v", kvs)
+	}
+	s.Crash()
+	if v, ok, _ := s.Get("k"); !ok || string(v) != "v" {
+		t.Fatal("un-synced buffered delete survived a crash")
+	}
+	_ = s.DeleteBuffered("k")
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	s.Crash()
+	if _, ok, _ := s.Get("k"); ok {
+		t.Fatal("synced buffered delete lost in crash")
+	}
+	s.Close()
+	if err := s.DeleteBuffered("k"); err == nil {
+		t.Fatal("DeleteBuffered after Close succeeded")
+	}
+}
+
+// TestSlotKeyMatchesSprintf pins SlotKey to its original fmt rendering, so
+// keys already on disk keep their names and Scan keeps its order.
+func TestSlotKeyMatchesSprintf(t *testing.T) {
+	slots := []uint64{0, 9, 10, 1e19, math.MaxUint64}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		slots = append(slots, rng.Uint64()>>uint(rng.Intn(64)))
+	}
+	for _, prefix := range []string{"", "pxs/7/dec/", "g3/pxs/1/acc/"} {
+		keys := make([]string, 0, len(slots))
+		for _, slot := range slots {
+			got, want := SlotKey(prefix, slot), fmt.Sprintf("%s%020d", prefix, slot)
+			if got != want {
+				t.Fatalf("SlotKey(%q, %d) = %q, want %q", prefix, slot, got, want)
+			}
+			keys = append(keys, got)
+		}
+		sorted := append([]uint64(nil), slots...)
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		sort.Strings(keys)
+		for i, k := range keys {
+			if k != SlotKey(prefix, sorted[i]) {
+				t.Fatalf("sorted keys diverge from numeric order at %d: %q", i, k)
+			}
+		}
 	}
 }
 

@@ -210,26 +210,40 @@ func (s *WALStore) Get(key string) ([]byte, bool, error) {
 
 // Delete implements Store.
 func (s *WALStore) Delete(key string) error {
+	lsn, err := s.deleteRecord(key)
+	if err != nil || lsn == 0 || !s.opts.SyncWrites {
+		return err
+	}
+	return s.wal.Sync(lsn)
+}
+
+// DeleteBuffered implements BufferedStore: the delete record is appended and
+// the key is gone from reads immediately, but the group-commit wait is
+// skipped even with SyncWrites on. A log truncation stages thousands of
+// these and makes them durable with the burst's single Sync.
+func (s *WALStore) DeleteBuffered(key string) error {
+	_, err := s.deleteRecord(key)
+	return err
+}
+
+// deleteRecord logs a delete of key and drops it from the in-memory state,
+// returning the record's LSN, or 0 when the key was absent and nothing was
+// logged.
+func (s *WALStore) deleteRecord(key string) (uint64, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
-		return ErrStoreClosed
+		return 0, ErrStoreClosed
 	}
 	if _, ok := s.state[key]; !ok {
-		s.mu.Unlock()
-		return nil // nothing to log
+		return 0, nil // nothing to log
 	}
 	lsn, err := s.append(walOpDelete, key, nil)
 	if err != nil {
-		s.mu.Unlock()
-		return err
+		return 0, err
 	}
 	delete(s.state, key)
-	s.mu.Unlock()
-	if s.opts.SyncWrites {
-		return s.wal.Sync(lsn)
-	}
-	return nil
+	return lsn, nil
 }
 
 // Scan implements Store: all pairs with the key prefix, sorted by key.

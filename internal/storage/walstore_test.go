@@ -1,9 +1,11 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -56,6 +58,65 @@ func TestWALStoreRoundTrip(t *testing.T) {
 	v2, _, _ := s.Get("mut")
 	if string(v2) != "abc" {
 		t.Fatalf("aliased value: %q", v2)
+	}
+}
+
+// TestWALStoreDeleteBuffered: with SyncWrites on, a buffered delete is
+// visible at once but waits for no fsync; the next Sync makes it durable,
+// and a reopen no longer sees the key.
+func TestWALStoreDeleteBuffered(t *testing.T) {
+	dir := t.TempDir()
+	s := openTestWALStore(t, dir, WALStoreOptions{SyncWrites: true})
+	for i := 0; i < 100; i++ {
+		if err := s.SetBuffered(fmt.Sprintf("k%03d", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	syncs := s.Syncs()
+	for i := 0; i < 100; i += 2 {
+		if err := s.DeleteBuffered(fmt.Sprintf("k%03d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.DeleteBuffered("absent"); err != nil {
+		t.Fatalf("delete absent: %v", err)
+	}
+	if got := s.Syncs(); got != syncs {
+		t.Fatalf("buffered deletes fsynced %d times", got-syncs)
+	}
+	if _, ok, _ := s.Get("k000"); ok {
+		t.Fatal("buffered delete invisible to the writer")
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Syncs() - syncs; got != 1 {
+		t.Fatalf("Sync after 50 buffered deletes cost %d fsyncs, want 1", got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.DeleteBuffered("k001"); !errors.Is(err, ErrStoreClosed) {
+		t.Fatalf("DeleteBuffered after Close = %v, want ErrStoreClosed", err)
+	}
+
+	s = openTestWALStore(t, dir, WALStoreOptions{})
+	defer func() { _ = s.Close() }()
+	kvs, err := s.Scan("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(kvs) != 50 {
+		t.Fatalf("reopened store has %d keys, want 50", len(kvs))
+	}
+	for _, kv := range kvs {
+		i, err := strconv.Atoi(kv.Key[1:])
+		if err != nil || i%2 == 0 {
+			t.Fatalf("deleted key %s survived reopen", kv.Key)
+		}
 	}
 }
 
