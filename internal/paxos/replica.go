@@ -435,21 +435,16 @@ func (r *Replica) recover() error {
 // sweepReleased deletes acc/dec records at or below the recovered floor: a
 // crash mid-truncation leaves them behind (the floor is persisted first),
 // and unswept they would live on in the store's state and in every WAL
-// compaction checkpoint. The deletes share one Sync.
+// compaction checkpoint. The deletes share one burst's group commit.
 func (r *Replica) sweepReleased(keys []string) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	del := r.store.Delete
-	if r.bstore != nil {
-		del = r.bstore.DeleteBuffered
-	}
+	r.beginBurst()
+	defer r.endBurst()
 	for _, key := range keys {
-		if err := del(key); err != nil {
+		if err := r.deleteDurable(key); err != nil {
 			return err
 		}
 	}
-	return r.store.Sync()
+	return nil
 }
 
 // Start implements smr.Engine.

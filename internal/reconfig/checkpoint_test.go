@@ -72,21 +72,38 @@ func TestCheckpointProducerPublishesAndTruncates(t *testing.T) {
 	}, "first checkpoint wave", 15*time.Second)
 	firstBase := w.node("n1").Stats().CheckpointBase
 	w.driveAdds("n1", "c1", seq, ops/2)
-	// Truncation trails the checkpoint it follows (quorum acks, then the
-	// engine's loop), so the retention bound below is awaited together with
-	// the second checkpoint instead of sampled at the first instant a
-	// truncation shows: a log that never shrinks still times out here.
-	retainBound := int64(2*w.opts.CheckpointInterval + w.opts.CheckpointMargin)
 	w.waitStat(func() bool {
 		for _, id := range members {
 			st := w.node(id).Stats()
-			if st.CheckpointsPublished < 2 || st.TruncatedSlots == 0 || st.CheckpointBase <= firstBase ||
-				st.RetainedSlots > retainBound {
+			if st.CheckpointsPublished < 2 || st.TruncatedSlots == 0 || st.CheckpointBase <= firstBase {
 				return false
 			}
 		}
 		return true
 	}, "every member to re-checkpoint past the first base and truncate", 15*time.Second)
+	// Sample the retained log once, at a definite point: every member has
+	// checkpointed up to its applied slot (no checkpoint due) and its
+	// engine floor has reached the lowest of those bases minus the margin,
+	// i.e. the truncation the newest checkpoints license has been applied.
+	w.waitStat(func() bool {
+		low := types.Slot(0)
+		for i, id := range members {
+			n := w.node(id)
+			base := types.Slot(n.Stats().CheckpointBase)
+			if _, applied := n.AppliedSlot(); applied >= base+types.Slot(w.opts.CheckpointInterval) {
+				return false
+			}
+			if i == 0 || base < low {
+				low = base
+			}
+		}
+		for _, id := range members {
+			if engineFloor(w.node(id)) < low-types.Slot(w.opts.CheckpointMargin) {
+				return false
+			}
+		}
+		return true
+	}, "checkpoints to catch up and every engine floor to follow them", 15*time.Second)
 
 	for _, id := range members {
 		st := w.node(id).Stats()
@@ -95,7 +112,7 @@ func TestCheckpointProducerPublishesAndTruncates(t *testing.T) {
 		}
 		// The retained log is bounded by interval + margin plus whatever was
 		// applied since the last floor advance — far below total history.
-		if st.RetainedSlots > retainBound {
+		if st.RetainedSlots > int64(2*w.opts.CheckpointInterval+w.opts.CheckpointMargin) {
 			t.Errorf("%s: retains %d slots, interval is %d", id, st.RetainedSlots, w.opts.CheckpointInterval)
 		}
 		// The durable blob under the config's snapshot prefix must now be the
@@ -113,6 +130,17 @@ func TestCheckpointProducerPublishesAndTruncates(t *testing.T) {
 		t.Fatalf("counter=%d, want %d", v, ops+1)
 	}
 	w.checkNoViolations()
+}
+
+// engineFloor is the truncation floor of n's current engine.
+func engineFloor(n *Node) types.Slot {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	run, ok := n.engines[n.curID]
+	if !ok {
+		return 0
+	}
+	return run.eng.Progress().TruncatedBelow
 }
 
 // TestCheckpointCatchupClosesGap: a member cut off while the others decide

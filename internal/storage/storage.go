@@ -151,18 +151,7 @@ func (s *MemStore) SetBuffered(key string, value []byte) error {
 // DeleteBuffered implements BufferedStore: the delete is staged in the dirty
 // buffer even with AutoSync on, and becomes stable on the next Sync.
 func (s *MemStore) DeleteBuffered(key string) error {
-	if s.opts.WriteLatency > 0 {
-		time.Sleep(s.opts.WriteLatency)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrStoreClosed
-	}
-	s.writes++
-	var nilv []byte
-	s.dirty[key] = &nilv
-	return nil
+	return s.delete(key, false)
 }
 
 // Get implements Store. It reads through the dirty buffer so a writer sees
@@ -188,6 +177,12 @@ func (s *MemStore) Get(key string) ([]byte, bool, error) {
 
 // Delete implements Store.
 func (s *MemStore) Delete(key string) error {
+	return s.delete(key, s.opts.AutoSync)
+}
+
+// delete removes key: from the stable map at once when stable is set,
+// otherwise staged in the dirty buffer until the next Sync.
+func (s *MemStore) delete(key string, stable bool) error {
 	if s.opts.WriteLatency > 0 {
 		time.Sleep(s.opts.WriteLatency)
 	}
@@ -197,7 +192,7 @@ func (s *MemStore) Delete(key string) error {
 		return ErrStoreClosed
 	}
 	s.writes++
-	if s.opts.AutoSync {
+	if stable {
 		delete(s.stable, key)
 		return nil
 	}
